@@ -185,7 +185,7 @@ func validKey(key string, nArgI int, argQ []*Queue) bool {
 	}
 	for _, q := range argQ {
 		sz, k := binary.Uvarint(buf[off:])
-		if k <= 0 || int(sz) > q.Cap() {
+		if k <= 0 || sz > uint64(q.Cap()) {
 			return false
 		}
 		off += k
@@ -214,7 +214,7 @@ func parseKey(key string, argI []int64, argQ []*Queue) bool {
 	}
 	for _, q := range argQ {
 		sz, k := binary.Uvarint(buf[off:])
-		if k <= 0 || int(sz) > q.Cap() {
+		if k <= 0 || sz > uint64(q.Cap()) {
 			return false
 		}
 		off += k

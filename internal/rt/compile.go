@@ -12,7 +12,11 @@ import (
 // segment into a chain of specialized closures with all operand dispatch —
 // dynamic vreg, recorded placeholder, constant — resolved at compile time,
 // and replay fuses straight-line runs of DTNone nodes into superinstructions
-// executed as one pre-validated call sequence.
+// executed as one pre-validated call sequence. Every other node — fork- and
+// ret-terminated ones, and pure-flow nodes no run covers — replays alone
+// through its block's closures once it has been vetted at the entry's
+// current cver; execDyn remains only for interpreted replay and for nodes
+// that fail vetting or whose block is uncompiled.
 //
 // Correctness contract:
 //
@@ -23,13 +27,13 @@ import (
 //     operand layout cannot be proven to match — a placeholder in a field
 //     the op never reads — is left uncompiled and replays interpreted.
 //
-//   - All fault degradation survives fusion: a fused run contains only
-//     nodes pre-validated exactly as the interpreter would (block range,
-//     placeholder count, registered externs), and it ends before the first
-//     node that fails validation, so the interpreted loop re-detects the
-//     corruption with the identical fault kind at the identical node count.
-//     Misses can only happen at dynamic-result nodes, which are never
-//     inside a run.
+//   - All fault degradation survives fusion: a fused run or a vetted single
+//     node contains only nodes pre-validated exactly as the interpreter
+//     would (checkNode: block range, placeholder count, registered
+//     externs), and a run ends before the first node that fails
+//     validation, so the interpreted loop re-detects the corruption with
+//     the identical fault kind at the identical node count. Misses can only
+//     happen at dynamic-result nodes, which are never inside a run.
 //
 //   - Fused state is derived, not memoized: it is never serialized
 //     (snapshot/warmio enumerate fields explicitly), is rebuilt lazily
@@ -60,14 +64,19 @@ const maxFuseLen = ir.MaxFuseLen
 // replay interpreted.
 const minFuseLen = ir.MinFuseLen
 
-// fusedRun is a superinstruction: a pre-validated straight-line run of
-// DTNone nodes executed as one call sequence. end is the first node after
-// the run (a dynamic-result node, a DTRet node, a node that failed
-// validation, or nil), handed back to the interpreted loop.
+// fusedRun is the derived compiled state of one head node. steps is a
+// superinstruction: a pre-validated straight-line run of DTNone nodes
+// executed as one call sequence, empty when no run worth fusing starts at
+// the head. end is the first node after the run (a dynamic-result node, a
+// DTRet node, a node that failed validation, or nil), handed back to the
+// replay loop. head is the head node's own compiled segment when the node
+// passed checkNode and its block compiled, nil otherwise; replay runs it
+// when the head replays alone.
 type fusedRun struct {
 	steps []fusedStep
 	end   *node
 	ops   uint64 // dynamic instructions covered, for FastOps accounting
+	head  *blockCode
 }
 
 type fusedStep struct {
@@ -77,16 +86,14 @@ type fusedStep struct {
 
 // compileProgram compiles dynamic segments into closure chains. With a
 // proven replay plan attached (p.Replay, computed by the compiler's static
-// fusion analysis), the builder trusts the static table: only plan-fusable
-// blocks are compiled — with the per-operand layout scans skipped, since
-// the plan already proved every placeholder sits in a read field — and
-// fork-, ret-terminated, and layout-unprovable blocks are left to the
-// interpreter (fused runs can never contain them, so compiling them was
-// pure build-time waste). Without a plan (hand-constructed IR, older
+// fusion analysis), the builder trusts the static table: every block whose
+// layout the plan proves is compiled, whatever its class — with the
+// per-operand layout scans skipped, since the plan already proved every
+// placeholder sits in a read field — and layout-unprovable blocks are left
+// to the interpreter. Without a plan (hand-constructed IR, older
 // snapshots) every block runs the legacy per-block proof.
-func compileProgram(p *ir.Program) ([]blockCode, int) {
+func compileProgram(p *ir.Program) []blockCode {
 	code := make([]blockCode, len(p.Blocks))
-	compiled := 0
 	if pl := p.Replay; pl != nil && len(pl.Blocks) == len(p.Blocks) {
 		for bi, blk := range p.Blocks {
 			if !blk.HasDyn {
@@ -94,23 +101,17 @@ func compileProgram(p *ir.Program) ([]blockCode, int) {
 				code[bi] = blockCode{ok: true}
 				continue
 			}
-			if !pl.Fusable(bi) {
+			if !pl.Blocks[bi].LayoutOK {
 				continue // replays interpreted
 			}
 			code[bi] = compileBlock(blk, true)
-			if code[bi].ok && len(blk.Dyn) > 0 {
-				compiled++
-			}
 		}
-		return code, compiled
+		return code
 	}
 	for bi, blk := range p.Blocks {
 		code[bi] = compileBlock(blk, false)
-		if code[bi].ok && len(blk.Dyn) > 0 {
-			compiled++
-		}
 	}
-	return code, compiled
+	return code
 }
 
 // compileBlock compiles one block's dynamic segment. In trusted mode the
@@ -322,9 +323,11 @@ func compileDyn(di *ir.DynInst, ph *int, trusted bool) (dynFn, bool) {
 		for i, a := range di.Args {
 			rargs[i] = reader(a, ph)
 		}
+		// One argument buffer per call site, reused on every call: an
+		// Extern's args are valid only during the call.
+		args := make([]int64, len(rargs))
 		return func(m *Machine, data []int64) {
 			fn := m.externs[xi]
-			args := make([]int64, len(rargs))
 			for i, ra := range rargs {
 				args[i] = ra(m, data)
 			}
@@ -366,9 +369,10 @@ func compileQOp(di *ir.DynInst, ph *int, trusted bool) (dynFn, bool) {
 		for i, a := range di.Args {
 			rargs[i] = reader(a, ph)
 		}
+		// One tuple buffer per push site, reused: Push copies the values.
+		vals := make([]int64, len(rargs))
 		return func(m *Machine, data []int64) {
 			q := m.queue(qid)
-			vals := make([]int64, len(rargs))
 			for i, ra := range rargs {
 				vals[i] = ra(m, data)
 			}
@@ -462,41 +466,41 @@ func compileQOp(di *ir.DynInst, ph *int, trusted bool) (dynFn, bool) {
 	}, true
 }
 
-// buildFused assembles the superinstruction starting at n: the maximal
-// (length-capped) straight-line run of DTNone nodes, each validated exactly
-// as the interpreted loop would validate it before execution. The run ends
-// before the first node that is nil, out of range, uncompiled, fork- or
-// ret-terminated, carries the wrong placeholder count, or needs an
-// unregistered extern — the interpreted loop handles that node, detecting
-// any corruption with the identical fault.
+// buildFused assembles the derived compiled state headed at n: the head
+// node's own vetted segment, and the maximal (length-capped) straight-line
+// run of DTNone nodes, each vetted exactly as the interpreted loop would
+// vet it before execution. The run ends before the first node that is nil,
+// fails checkNode, is uncompiled, or is fork- or ret-terminated — the
+// replay loop handles that node, detecting any corruption with the
+// identical fault.
 func (m *Machine) buildFused(n *node) *fusedRun {
-	fr := &fusedRun{}
-	for len(fr.steps) < maxFuseLen {
-		if n == nil || n.blockID < 0 || int(n.blockID) >= len(m.p.Blocks) {
-			break
-		}
-		bc := &m.code[n.blockID]
-		blk := m.p.Blocks[n.blockID]
-		if !bc.ok || blk.DynTerm != ir.DTNone || len(n.data) != blk.NPh {
-			break
-		}
-		ok := true
-		for _, xi := range m.blkExt[n.blockID] {
-			if m.externs[xi] == nil {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			break
-		}
+	bc := m.vetNode(n)
+	fr := &fusedRun{head: bc}
+	for bc != nil && len(fr.steps) < maxFuseLen && m.p.Blocks[n.blockID].DynTerm == ir.DTNone {
 		fr.steps = append(fr.steps, fusedStep{fns: bc.fns, data: n.data})
-		fr.ops += uint64(len(blk.Dyn))
+		fr.ops += uint64(len(m.p.Blocks[n.blockID].Dyn))
 		n = n.next
+		bc = m.vetNode(n)
 	}
 	fr.end = n
 	if len(fr.steps) < minFuseLen {
-		return &fusedRun{} // too short to amortize: replay interpreted
+		// Too short to amortize a fused dispatch: the head replays alone.
+		return &fusedRun{head: fr.head}
 	}
 	return fr
+}
+
+// vetNode returns the compiled segment of n's block when n passes
+// checkNode and the block compiled, nil otherwise.
+func (m *Machine) vetNode(n *node) *blockCode {
+	if n == nil {
+		return nil
+	}
+	if _, _, ok := m.checkNode(n); !ok {
+		return nil
+	}
+	if bc := &m.code[n.blockID]; bc.ok {
+		return bc
+	}
+	return nil
 }

@@ -13,7 +13,9 @@ import (
 // Extern is a host (Go) function callable from Facile. External calls are
 // dynamic: the compiler never memoizes through them, so externs may hold
 // arbitrary mutable state (cache simulators, branch predictors, target
-// memory, output devices).
+// memory, output devices). args is valid only during the call: the machine
+// reuses its backing array for later calls, so an extern that needs the
+// values afterwards must copy them.
 type Extern func(args []int64) int64
 
 // TextSource provides the target program's text segment: the token stream
@@ -123,6 +125,10 @@ type Machine struct {
 	compiled bool
 	code     []blockCode
 
+	// scratch backs the extern-argument and queue-tuple slices the
+	// interpreters (exec, execQOp, execDyn) build, so no call allocates.
+	scratch []int64
+
 	obs     *obs.Recorder
 	sampler *obs.Sampler
 
@@ -158,25 +164,32 @@ func New(p *ir.Program, text TextSource, opt Options) *Machine {
 		obs:     opt.Obs,
 	}
 	m.compiled = !opt.ReplayInterp
-	var nCompiled int
-	m.code, nCompiled = compileProgram(p)
+	m.code = compileProgram(p)
 	reg := opt.Obs.Registry()
-	reg.Counter("rt.compiled_blocks").Add(uint64(nCompiled))
-	if pl := p.Replay; pl != nil {
-		// Predicted-vs-achieved fusion coverage: what the static plan
-		// proved fusable against what the closure builder actually
-		// compiled. The pairs agree unless the trusted compile's
-		// placeholder-count guard tripped (a plan/engine disagreement).
-		var opsCompiled uint64
-		for bi, blk := range p.Blocks {
-			if blk.HasDyn && m.code[bi].ok {
-				opsCompiled += uint64(len(blk.Dyn))
-			}
+	// rt.compiled_blocks counts every block with a compiled dynamic
+	// segment, whatever its replay class: pure-flow blocks, and the fork-
+	// and ret-terminated blocks that replay alone through their closures.
+	// The rt.fusion_* pairs count pure-flow blocks only — what the static
+	// plan proved fusable against what the closure builder compiled of
+	// them. They agree unless the trusted compile's placeholder-count
+	// guard tripped (a plan/engine disagreement).
+	var nCompiled, fusedBlocks, fusedOps uint64
+	for bi, blk := range p.Blocks {
+		if !blk.HasDyn || !m.code[bi].ok || len(blk.Dyn) == 0 {
+			continue
 		}
+		nCompiled++
+		if p.Replay.Fusable(bi) {
+			fusedBlocks++
+			fusedOps += uint64(len(blk.Dyn))
+		}
+	}
+	reg.Counter("rt.compiled_blocks").Add(nCompiled)
+	if pl := p.Replay; pl != nil {
 		reg.Counter("rt.fusion_predicted_blocks").Add(uint64(pl.FusableBlocks))
-		reg.Counter("rt.fusion_compiled_blocks").Add(uint64(nCompiled))
+		reg.Counter("rt.fusion_compiled_blocks").Add(fusedBlocks)
 		reg.Counter("rt.fusion_predicted_ops").Add(uint64(pl.FusableOps))
-		reg.Counter("rt.fusion_compiled_ops").Add(opsCompiled)
+		reg.Counter("rt.fusion_compiled_ops").Add(fusedOps)
 	}
 	m.hStepNodes = reg.Histogram("rt.replay_nodes_per_step")
 	m.cFusedRuns = reg.Counter("rt.fused_runs")
@@ -664,6 +677,15 @@ func appendPh(data []int64, di *ir.DynInst, vregs []int64) []int64 {
 	return data
 }
 
+// scratchBuf returns the machine's scratch slice resized to n values. The
+// contents are valid until the next call.
+func (m *Machine) scratchBuf(n int) []int64 {
+	if cap(m.scratch) < n {
+		m.scratch = make([]int64, n)
+	}
+	return m.scratch[:n]
+}
+
 func (m *Machine) queue(qid int32) *Queue {
 	if qid >= 0 {
 		return m.queuesG[qid]
@@ -712,7 +734,7 @@ func (m *Machine) exec(inst *ir.Inst) {
 		if fn == nil {
 			panic(fmt.Sprintf("rt: extern %q not registered", m.p.Externs[inst.Imm]))
 		}
-		args := make([]int64, len(inst.Args))
+		args := m.scratchBuf(len(inst.Args))
 		for i, a := range inst.Args {
 			args[i] = v[a]
 		}
@@ -732,7 +754,7 @@ func (m *Machine) execQOp(inst *ir.Inst) {
 	case ir.QSize:
 		res = int64(q.Size())
 	case ir.QPush:
-		vals := make([]int64, len(inst.Args))
+		vals := m.scratchBuf(len(inst.Args))
 		for i, a := range inst.Args {
 			vals[i] = v[a]
 		}

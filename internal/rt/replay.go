@@ -36,6 +36,7 @@ func (m *Machine) replayFrom(e *centry, maxSteps uint64) error {
 			m.fault(faults.BrokenChain, "nil action link before end of step")
 			return m.degradeStep(e)
 		}
+		var head *blockCode // n's compiled segment, once vetted at this cver
 		if m.compiled {
 			// Compiled fast path: execute the superinstruction headed at n —
 			// a pre-validated straight-line run of DTNone nodes — as one
@@ -54,8 +55,8 @@ func (m *Machine) replayFrom(e *centry, maxSteps uint64) error {
 				// The bound keeps the watchdog exact: the interpreted loop
 				// executes a node only while m.nodes < MaxReplayNodes, so a
 				// run is dispatched only if its last node would still pass
-				// that check; otherwise the nodes replay interpreted and the
-				// watchdog trips at the identical count.
+				// that check; otherwise the nodes replay one at a time and
+				// the watchdog trips at the identical count.
 				for i := range fr.steps {
 					st := &fr.steps[i]
 					for _, fn := range st.fns {
@@ -69,6 +70,9 @@ func (m *Machine) replayFrom(e *centry, maxSteps uint64) error {
 				n = fr.end
 				continue
 			}
+			// n replays alone: through its closures if it passed vetting
+			// at this cver, otherwise interpreted, re-detecting any fault.
+			head = fr.head
 		}
 		if m.nodes >= m.opt.MaxReplayNodes {
 			// A cycle in a corrupted graph, or a runaway step.
@@ -77,28 +81,22 @@ func (m *Machine) replayFrom(e *centry, maxSteps uint64) error {
 			m.stats.WatchdogTrips++
 			return m.degradeStep(e)
 		}
-		if n.blockID < 0 || int(n.blockID) >= len(m.p.Blocks) {
-			m.fault(faults.BadAction,
-				fmt.Sprintf("action references block %d of %d", n.blockID, len(m.p.Blocks)))
-			return m.degradeStep(e)
-		}
-		blk := m.p.Blocks[n.blockID]
-		if len(n.data) != blk.NPh {
-			m.fault(faults.TruncatedData,
-				fmt.Sprintf("action carries %d placeholder values, block %d needs %d",
-					len(n.data), n.blockID, blk.NPh))
-			return m.degradeStep(e)
-		}
-		for _, xi := range m.blkExt[n.blockID] {
-			if m.externs[xi] == nil {
-				m.fault(faults.BadAction,
-					fmt.Sprintf("action needs unregistered extern %q", m.p.Externs[xi]))
+		if head == nil {
+			if kind, detail, ok := m.checkNode(n); !ok {
+				m.fault(kind, detail)
 				return m.degradeStep(e)
 			}
 		}
-		ph := 0
-		for i := range blk.Dyn {
-			m.execDyn(&blk.Dyn[i], n.data, &ph)
+		blk := m.p.Blocks[n.blockID]
+		if head != nil {
+			for _, fn := range head.fns {
+				fn(m, n.data)
+			}
+		} else {
+			ph := 0
+			for i := range blk.Dyn {
+				m.execDyn(&blk.Dyn[i], n.data, &ph)
+			}
 		}
 		m.stats.FastOps += uint64(len(blk.Dyn))
 		switch blk.DynTerm {
@@ -129,8 +127,12 @@ func (m *Machine) replayFrom(e *centry, maxSteps uint64) error {
 		case ir.DTRet:
 			// Vet the recorded successor key before adopting it: a corrupt
 			// key caught here is recoverable (rekeyStep rebuilds it from the
-			// replayed path); one caught after adoption is not.
-			if !validKey(n.nextKey, len(m.argI), m.argQ) {
+			// replayed path); one caught after adoption is not. A current
+			// link proves the key was vetted on the visit that set it: every
+			// mutation of nextKey nils the link, and clears and
+			// invalidations move the generation.
+			linked := n.link != nil && n.linkGen == m.ac.g.Gen
+			if !linked && !validKey(n.nextKey, len(m.argI), m.argQ) {
 				m.fault(faults.CorruptKey, "recorded successor key does not parse")
 				return m.rekeyStep(e)
 			}
@@ -172,6 +174,29 @@ func (m *Machine) replayFrom(e *centry, maxSteps uint64) error {
 			return m.degradeStep(e)
 		}
 	}
+}
+
+// checkNode vets a recorded node before replay executes it: the block
+// reference is in range, the node carries exactly the block's placeholder
+// count, and every extern the block's dynamic segment calls is registered.
+// On failure it returns the typed fault to raise.
+func (m *Machine) checkNode(n *node) (faults.Kind, string, bool) {
+	if n.blockID < 0 || int(n.blockID) >= len(m.p.Blocks) {
+		return faults.BadAction,
+			fmt.Sprintf("action references block %d of %d", n.blockID, len(m.p.Blocks)), false
+	}
+	if nph := m.p.Blocks[n.blockID].NPh; len(n.data) != nph {
+		return faults.TruncatedData,
+			fmt.Sprintf("action carries %d placeholder values, block %d needs %d",
+				len(n.data), n.blockID, nph), false
+	}
+	for _, xi := range m.blkExt[n.blockID] {
+		if m.externs[xi] == nil {
+			return faults.BadAction,
+				fmt.Sprintf("action needs unregistered extern %q", m.p.Externs[xi]), false
+		}
+	}
+	return 0, "", true
 }
 
 // missRecover implements the paper's miss recovery: restore main's
@@ -344,7 +369,7 @@ func (m *Machine) execDyn(di *ir.DynInst, data []int64, ph *int) {
 		case ir.QSize:
 			res = int64(q.Size())
 		case ir.QPush:
-			vals := make([]int64, len(di.Args))
+			vals := m.scratchBuf(len(di.Args))
 			for i, a := range di.Args {
 				vals[i] = rd(a)
 			}
@@ -372,7 +397,7 @@ func (m *Machine) execDyn(di *ir.DynInst, data []int64, ph *int) {
 		}
 	case ir.CallExt:
 		fn := m.externs[di.Imm]
-		args := make([]int64, len(di.Args))
+		args := m.scratchBuf(len(di.Args))
 		for i, a := range di.Args {
 			args[i] = rd(a)
 		}

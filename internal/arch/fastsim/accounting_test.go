@@ -6,55 +6,56 @@ import (
 
 	"facile/internal/arch/uarch"
 	"facile/internal/faults"
+	"facile/internal/memocache"
 )
 
 // sumEntryBytes is the occupancy the gauge should report: the bytes charged
 // by every entry still installed in the cache.
 func sumEntryBytes(c *acache) uint64 {
 	var n uint64
-	for _, e := range c.m {
-		n += e.bytes
+	for _, e := range c.M {
+		n += e.Bytes
 	}
 	return n
 }
 
 func TestInvalidationRefundsEntryBytes(t *testing.T) {
-	c := newACache(0, nil)
+	c := memocache.NewCache[action](0, nil)
 	var ents []*centry
 	for i := 0; i < 6; i++ {
-		e := &centry{key: fmt.Sprintf("key%d", i)}
-		c.put(e)
-		c.charge(e, uint64(100*(i+1)))
+		e := &centry{Key: fmt.Sprintf("key%d", i)}
+		c.Put(e)
+		c.Charge(e, uint64(100*(i+1)))
 		ents = append(ents, e)
 	}
-	if c.g.Bytes != sumEntryBytes(c) {
-		t.Fatalf("occupancy %d != charged entry bytes %d", c.g.Bytes, sumEntryBytes(c))
+	if c.G.Bytes != sumEntryBytes(c) {
+		t.Fatalf("occupancy %d != charged entry bytes %d", c.G.Bytes, sumEntryBytes(c))
 	}
 	// N invalidations must leave the occupancy equal to the bytes of the
 	// surviving entries.
 	for _, i := range []int{1, 3, 4} {
-		c.invalidate(ents[i])
+		c.Invalidate(ents[i])
 	}
-	if want := sumEntryBytes(c); c.g.Bytes != want {
-		t.Fatalf("after invalidations: occupancy %d, surviving entries hold %d", c.g.Bytes, want)
+	if want := sumEntryBytes(c); c.G.Bytes != want {
+		t.Fatalf("after invalidations: occupancy %d, surviving entries hold %d", c.G.Bytes, want)
 	}
-	if len(c.m) != 3 {
-		t.Fatalf("expected 3 surviving entries, have %d", len(c.m))
+	if len(c.M) != 3 {
+		t.Fatalf("expected 3 surviving entries, have %d", len(c.M))
 	}
 	// Invalidating a dead entry again must not refund twice.
-	before := c.g.Bytes
-	c.invalidate(ents[1])
-	if c.g.Bytes != before {
-		t.Fatalf("double invalidation changed occupancy: %d -> %d", before, c.g.Bytes)
+	before := c.G.Bytes
+	c.Invalidate(ents[1])
+	if c.G.Bytes != before {
+		t.Fatalf("double invalidation changed occupancy: %d -> %d", before, c.G.Bytes)
 	}
-	if c.g.Invalidations != 4 {
-		t.Fatalf("invalidations = %d, want 4", c.g.Invalidations)
+	if c.G.Invalidations != 4 {
+		t.Fatalf("invalidations = %d, want 4", c.G.Invalidations)
 	}
 	// A stale invalidation after a clear must not underflow the fresh gauge.
-	c.clearNow()
-	c.invalidate(ents[0])
-	if c.g.Bytes != 0 {
-		t.Fatalf("post-clear stale invalidation left occupancy %d", c.g.Bytes)
+	c.Clear()
+	c.Invalidate(ents[0])
+	if c.G.Bytes != 0 {
+		t.Fatalf("post-clear stale invalidation left occupancy %d", c.G.Bytes)
 	}
 }
 

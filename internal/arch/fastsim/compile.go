@@ -29,27 +29,15 @@ import (
 // increments.
 //
 // Compiled form is derived state, not memoized data: it is attached to hot
-// chains lazily during replay, never serialized (snapshot/warmio enumerate
-// action fields explicitly), rebuilt after warm-cache adoption, and
-// discarded whenever the owning entry's cver moves (fault injection,
-// invalidation) so a mutated chain is re-validated before its next replay.
+// chains lazily during replay, never serialized (the snapshot and warm
+// codecs enumerate action fields explicitly), rebuilt after warm-cache
+// adoption, and discarded whenever the owning entry's cver moves (fault
+// injection, invalidation) so a mutated chain is re-validated before its
+// next replay.
 
 // actFn replays one action with its kind, operands, and flags resolved at
 // compile time.
 type actFn func(s *Sim)
-
-// maxActFuseLen bounds one superinstruction's action count. Longer
-// stretches split into consecutive runs; a cycle in a corrupted graph
-// therefore still advances the acts counter toward the replay watchdog
-// instead of hanging the builder. Shared with the Facile engine and the
-// compiler's static replay planner.
-const maxActFuseLen = ir.MaxFuseLen
-
-// minActFuseLen is the shortest run worth fusing: below it the fused
-// dispatch (version check, closure calls) costs more than the interpreter
-// iterations it replaces, so the builder emits an empty run and the
-// actions replay interpreted.
-const minActFuseLen = ir.MinFuseLen
 
 // fusedActs is a superinstruction: a compiled straight-line run of
 // pure-flow actions. end is the first action after the run (a
@@ -97,7 +85,7 @@ func fusable(kind uint8) bool {
 // counter work is folded into the run totals.
 func (s *Sim) buildFused(a *action) *fusedActs {
 	fr := &fusedActs{}
-	for a != nil && fusable(a.kind) && len(fr.fns) < maxActFuseLen {
+	for a != nil && fusable(a.kind) && len(fr.fns) < ir.MaxFuseLen {
 		fr.fns = append(fr.fns, compileAction(a))
 		fr.n++
 		fr.cyc += uint64(a.dcyc)
@@ -108,7 +96,7 @@ func (s *Sim) buildFused(a *action) *fusedActs {
 		a = a.next
 	}
 	fr.end = a
-	if fr.n < minActFuseLen {
+	if fr.n < ir.MinFuseLen {
 		return &fusedActs{} // too short to amortize: replay interpreted
 	}
 	return fr

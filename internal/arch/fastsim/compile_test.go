@@ -26,8 +26,8 @@ func TestEmptyPathMissDegrades(t *testing.T) {
 
 	s := New(uarch.Default(), p, Options{Memoize: true})
 	key := s.eng.snapshotKey()
-	bad := &centry{key: key, first: &action{kind: aNextPC}}
-	s.ac.put(bad)
+	bad := &centry{Key: key, First: &action{kind: aNextPC}}
+	s.ac.Put(bad)
 	s.beginReplay(key)
 	s.replayFrom(bad, 0)
 
@@ -60,18 +60,18 @@ func TestEmptyPathMissDegrades(t *testing.T) {
 func TestFusedStateDiscardedOnCverBump(t *testing.T) {
 	p := asmOrDie(t, sumLoop)
 	s := New(uarch.Default(), p, Options{Memoize: true})
-	e := &centry{key: "k", first: &action{kind: aShift, slot: 1}}
-	s.ac.put(e)
-	a := e.first
+	e := &centry{Key: "k", First: &action{kind: aShift, slot: 1}}
+	s.ac.Put(e)
+	a := e.First
 	a.fused = s.buildFused(a)
-	a.fusedVer = e.cver
-	s.ac.invalidate(e)
-	if a.fusedVer == e.cver {
+	a.fusedVer = e.CVer
+	s.ac.Invalidate(e)
+	if a.fusedVer == e.CVer {
 		t.Fatal("invalidate did not bump cver; stale fused state would survive")
 	}
-	a.fusedVer = e.cver
+	a.fusedVer = e.CVer
 	s.injectFault(e, faults.InjFlipFork)
-	if a.fusedVer == e.cver {
+	if a.fusedVer == e.CVer {
 		t.Fatal("injectFault did not bump cver; stale fused state would survive")
 	}
 }

@@ -22,7 +22,7 @@ func (s *Sim) injectFault(e *centry, inj faults.Injection) {
 	// Any mutation of the recorded chain invalidates the derived compiled
 	// state: bump the entry's version so stale superinstructions are
 	// discarded and the corruption is re-validated on the next replay.
-	e.cver++
+	e.CVer++
 	ij := s.opt.Inject
 	switch inj {
 	case faults.InjBreakChain:
@@ -30,7 +30,7 @@ func (s *Sim) injectFault(e *centry, inj faults.Injection) {
 		// actions qualify (severing a fork would read as a value miss, not
 		// a broken chain); an entry with none gets its head severed.
 		var candidates []*action
-		a := e.first
+		a := e.First
 		for n := 0; a != nil && n < 64; n++ {
 			if a.next != nil && a.kind != aEnd && a.next.kind != aEnd {
 				candidates = append(candidates, a)
@@ -40,14 +40,14 @@ func (s *Sim) injectFault(e *centry, inj faults.Injection) {
 		if len(candidates) > 0 {
 			candidates[ij.Rand()%uint64(len(candidates))].next = nil
 		} else {
-			e.first = nil
+			e.First = nil
 		}
 
 	case faults.InjFlipFork:
 		// Flip a recorded fork value: the live dynamic result no longer
 		// matches any fork, which reads as a first-time value (a miss) and
 		// recovers through the ordinary recovery-stack protocol.
-		a := e.first
+		a := e.First
 		for n := 0; a != nil && n < 64; n++ {
 			if len(a.forks) > 0 {
 				f := &a.forks[ij.Rand()%uint64(len(a.forks))]
@@ -56,14 +56,14 @@ func (s *Sim) injectFault(e *centry, inj faults.Injection) {
 			}
 			a = spineNext(a)
 		}
-		e.first = nil // no forks to flip: degrade to a severed chain
+		e.First = nil // no forks to flip: degrade to a severed chain
 
 	case faults.InjTruncate:
 		// Truncate the recorded successor key so the step-start state can
 		// no longer be restored from it (corrupt-key fault → drain reset).
 		// The cached link is dropped too; otherwise the replay would chain
 		// through it without ever touching the corrupt key.
-		a := e.first
+		a := e.First
 		for n := 0; a != nil && n < 256; n++ {
 			if a.kind == aEnd {
 				if len(a.nextKey) > 1 {
@@ -74,11 +74,11 @@ func (s *Sim) injectFault(e *centry, inj faults.Injection) {
 			}
 			a = spineNext(a)
 		}
-		e.first = nil // halting entry has no aEnd: degrade to a severed chain
+		e.First = nil // halting entry has no aEnd: degrade to a severed chain
 
 	case faults.InjGenBump:
 		// Clear the cache underneath the in-flight replay, exactly as
 		// clear-when-full would mid-run.
-		s.ac.clearNow()
+		s.ac.Clear()
 	}
 }

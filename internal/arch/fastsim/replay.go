@@ -27,7 +27,7 @@ func (s *Sim) replayFrom(e *centry, maxInsts uint64) {
 	s.path = s.path[:0]
 	s.ops = 0
 	var acts uint64
-	a := e.first
+	a := e.First
 	for {
 		if a == nil {
 			if st.Halted {
@@ -52,10 +52,10 @@ func (s *Sim) replayFrom(e *centry, maxInsts uint64) {
 			// sequence. Built lazily per head action and discarded whenever
 			// the entry's cver moves (injection, invalidation).
 			fr := a.fused
-			if fr == nil || a.fusedVer != e.cver {
+			if fr == nil || a.fusedVer != e.CVer {
 				fr = s.buildFused(a)
 				a.fused = fr
-				a.fusedVer = e.cver
+				a.fusedVer = e.CVer
 				if fr.n > 0 {
 					s.cFusedRuns.Inc()
 					s.cCompActs.Add(fr.n)
@@ -199,18 +199,18 @@ func (s *Sim) replayFrom(e *centry, maxInsts uint64) {
 				// back instead of following the link directly.
 				return
 			}
-			if a.link == nil || a.linkGen != s.ac.g.Gen {
-				le := s.ac.get(a.nextKey)
+			if a.link == nil || a.linkGen != s.ac.G.Gen {
+				le := s.ac.Get(a.nextKey)
 				if le == nil {
 					s.keyMisses++
 					s.obs.Event(obs.EvKeyMiss, uint64(len(a.nextKey)))
 					return // boundary miss: Run restores the slow simulator
 				}
 				a.link = le
-				a.linkGen = s.ac.g.Gen
+				a.linkGen = s.ac.G.Gen
 			}
 			e = a.link
-			a = e.first
+			a = e.First
 
 		default:
 			s.fault(faults.BadAction, fmt.Sprintf("unknown action kind %d", a.kind))
@@ -247,12 +247,12 @@ func (s *Sim) miss(a *action, e *centry) {
 	if !s.restoreEngine() {
 		// Corrupt step key: recovery alignment is impossible. The drain
 		// reset already put the engine back on the architectural stream.
-		s.invalidateEntry(e)
+		s.ac.Invalidate(e)
 		s.degraded++
 		return
 	}
 	a.forks = append(a.forks, fork{val: v})
-	s.ac.charge(e, forkBytes)
+	s.ac.Charge(e, forkBytes)
 	rec := &recorder{s: s, ent: e, tail: &a.forks[len(a.forks)-1].next}
 	rv := &recoverer{s: s, path: s.path, rec: rec, live: rec}
 	s.eng.runStep(rv)
@@ -264,7 +264,7 @@ func (s *Sim) miss(a *action, e *centry) {
 			detail = "recovery cursor overran the replayed path"
 		}
 		s.fault(kind, detail)
-		s.invalidateEntry(e)
+		s.ac.Invalidate(e)
 		s.degraded++
 		// Drop the half-recorded fork so the dead entry can't replay it.
 		a.forks = a.forks[:len(a.forks)-1]
@@ -282,7 +282,7 @@ func (s *Sim) miss(a *action, e *centry) {
 func (s *Sim) degradeStep(e *centry) {
 	s.steps++
 	s.degraded++
-	s.invalidateEntry(e)
+	s.ac.Invalidate(e)
 	if !s.restoreEngine() {
 		return // drained: the engine is already back on the live stream
 	}
@@ -301,9 +301,4 @@ func (s *Sim) degradeStep(e *centry) {
 		s.fault(faults.RecoveryOverrun, "degraded re-run overran the replayed path")
 	}
 	s.finishSlowStep(nil, nil)
-}
-
-// invalidateEntry discards e from the action cache after a fault.
-func (s *Sim) invalidateEntry(e *centry) {
-	s.ac.invalidate(e)
 }

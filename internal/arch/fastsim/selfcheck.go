@@ -48,7 +48,7 @@ func (c *checker) diverge(detail string) {
 	s.fault(faults.SelfCheckDivergence, detail)
 	s.scDiverged++
 	s.degraded++
-	s.invalidateEntry(c.ent)
+	s.ac.Invalidate(c.ent)
 	c.mode = scLive
 }
 
@@ -85,7 +85,7 @@ func (c *checker) forkOn(a *action, v uint64) {
 	s.misses++
 	s.obs.Event(obs.EvMidStepMiss, 0)
 	a.forks = append(a.forks, fork{val: v})
-	s.ac.charge(c.ent, forkBytes)
+	s.ac.Charge(c.ent, forkBytes)
 	c.rec = &recorder{s: s, ent: c.ent, tail: &a.forks[len(a.forks)-1].next, lastCycle: s.eng.cycle}
 	c.mode = scRecord
 }
@@ -225,7 +225,7 @@ func (c *checker) shifted(k int) {
 func (s *Sim) selfCheckStep(e *centry) {
 	s.selfChecks++
 	s.steps++
-	chk := &checker{s: s, ent: e, a: e.first, lastCycle: s.eng.cycle}
+	chk := &checker{s: s, ent: e, a: e.First, lastCycle: s.eng.cycle}
 	s.eng.runStep(chk)
 	s.cycle = s.eng.cycle
 	if s.eng.haltSeen {

@@ -6,6 +6,7 @@ import (
 	"facile/internal/arch/funcsim"
 	"facile/internal/arch/uarch"
 	"facile/internal/isa/loader"
+	"facile/internal/memocache"
 	"facile/internal/snapshot"
 )
 
@@ -85,7 +86,7 @@ func (s *Sim) SaveState(w *snapshot.Writer) error {
 	}
 	w.U64(s.lastNPC)
 	w.Bool(s.done)
-	w.U64(s.scState)
+	w.U64(uint64(s.sc))
 	w.U64(s.slowInsts + s.fastInsts)
 
 	w.BeginAux()
@@ -100,9 +101,9 @@ func (s *Sim) SaveState(w *snapshot.Writer) error {
 	w.U64(s.wdTrips + s.eng.wdTrips)
 	w.U64(s.selfChecks)
 	w.U64(s.scDiverged)
-	w.U64(s.ac.g.TotalBytes)
-	w.U64(s.ac.g.Clears)
-	w.U64(s.ac.g.Invalidations)
+	w.U64(s.ac.G.TotalBytes)
+	w.U64(s.ac.G.Clears)
+	w.U64(s.ac.G.Invalidations)
 	return nil
 }
 
@@ -159,7 +160,7 @@ func (s *Sim) LoadState(r *snapshot.Reader) error {
 	}
 	s.lastNPC = r.U64()
 	s.done = r.Bool()
-	s.scState = r.U64()
+	s.sc = memocache.Sampler(r.U64())
 	total := r.U64()
 
 	s.slowInsts = r.U64()
@@ -173,9 +174,9 @@ func (s *Sim) LoadState(r *snapshot.Reader) error {
 	s.wdTrips = r.U64()
 	s.selfChecks = r.U64()
 	s.scDiverged = r.U64()
-	s.ac.g.TotalBytes = r.U64()
-	s.ac.g.Clears = r.U64()
-	s.ac.g.Invalidations = r.U64()
+	s.ac.G.TotalBytes = r.U64()
+	s.ac.G.Clears = r.U64()
+	s.ac.G.Invalidations = r.U64()
 	if err := r.Err(); err != nil {
 		return err
 	}

@@ -105,14 +105,17 @@ func TestLoadWarmCacheRejectsCorruption(t *testing.T) {
 	})
 	t.Run("accounting-mismatch", func(t *testing.T) {
 		// Rewrite the header's total-bytes field (third varint) to a lie.
+		r := snapshot.NewReader(good)
+		r.U64() // version
+		gen, total := r.U64(), r.U64()
 		pre := snapshot.NewWriter()
 		pre.U64(WarmFormatVersion)
-		pre.U64(wc.gen)
-		pre.U64(wc.bytes)
+		pre.U64(gen)
+		pre.U64(total)
 		hdr := snapshot.NewWriter()
 		hdr.U64(WarmFormatVersion)
-		hdr.U64(wc.gen)
-		hdr.U64(wc.bytes + 1)
+		hdr.U64(gen)
+		hdr.U64(total + 1)
 		blob := append(hdr.Payload(), good[len(pre.Payload()):]...)
 		if _, err := LoadWarmCache(snapshot.NewReader(blob)); err == nil {
 			t.Fatal("cooked byte accounting loaded")

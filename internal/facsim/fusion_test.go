@@ -4,18 +4,17 @@ import (
 	"bytes"
 	"testing"
 
+	"facile/internal/core"
 	"facile/internal/isa/loader"
 	"facile/internal/obs"
 )
 
-// TestPredictedFusionMatchesAchieved asserts the static/dynamic coverage
-// equality on every shipped description: the compiler's replay plan
-// (rt.fusion_predicted_*) must agree exactly with what the machine's
-// closure builder compiled under that plan (rt.fusion_compiled_*) — any
-// gap means the trusted compile's placeholder guard tripped, i.e. the
-// static layout proof and the engine disagree. It also pins the
-// preflight-exported fusion facts to the same figures, so what fvet and
-// the job records report is what the engine does.
+// TestPredictedFusionMatchesAchieved pins the facts fvet and the job
+// records report to the plan the engine compiles under, on every shipped
+// description: the preflight fusion facts equal the replay plan's
+// aggregates, and rt.compiled_blocks equals the number of dynamic blocks
+// the plan proves. (That each such block is exactly the one compiled is
+// checked per block in internal/rt's TestPlanIsTheOnlyLayoutProof.)
 func TestPredictedFusionMatchesAchieved(t *testing.T) {
 	mks := map[string]func(*loader.Program, Options) (*Instance, error){
 		KindFunctional: NewFunctional,
@@ -29,33 +28,38 @@ func TestPredictedFusionMatchesAchieved(t *testing.T) {
 			if _, err := mk(prog, Options{Memoize: true, Obs: rec}); err != nil {
 				t.Fatal(err)
 			}
-			reg := rec.Registry()
-			pb := reg.Counter("rt.fusion_predicted_blocks").Load()
-			cb := reg.Counter("rt.fusion_compiled_blocks").Load()
-			po := reg.Counter("rt.fusion_predicted_ops").Load()
-			co := reg.Counter("rt.fusion_compiled_ops").Load()
-			if pb == 0 {
+			p := map[string]*core.Simulator{
+				KindFunctional: simFunc, KindInOrder: simInOrder, KindOOO: simOOO,
+			}[kind].Prog
+			pl := p.Replay
+			if pl == nil || pl.FusableBlocks == 0 {
 				t.Fatal("no predicted fusable blocks: the compiled description carries no replay plan")
 			}
-			if pb != cb {
-				t.Errorf("predicted %d fusable blocks, engine compiled %d", pb, cb)
+			var proven uint64
+			for bi, blk := range p.Blocks {
+				if blk.HasDyn && len(blk.Dyn) > 0 && pl.Blocks[bi].LayoutOK {
+					proven++
+				}
 			}
-			if po != co {
-				t.Errorf("predicted %d fusable ops, engine compiled %d", po, co)
+			if got := rec.Registry().Counter("rt.compiled_blocks").Load(); got != proven {
+				t.Errorf("rt.compiled_blocks = %d, the plan proves %d dynamic blocks", got, proven)
 			}
 			sum, ok := Preflight(kind)
 			if !ok {
 				t.Fatalf("no preflight for kind %q", kind)
 			}
-			if sum.Fusion == nil {
+			f := sum.Fusion
+			if f == nil {
 				t.Fatal("preflight summary carries no fusion facts")
 			}
-			if uint64(sum.Fusion.FusableBlocks) != pb || uint64(sum.Fusion.FusableOps) != po {
-				t.Errorf("preflight facts (%d blocks, %d ops) disagree with engine counters (%d, %d)",
-					sum.Fusion.FusableBlocks, sum.Fusion.FusableOps, pb, cb)
+			if f.DynBlocks != pl.DynBlocks || f.FusableBlocks != pl.FusableBlocks ||
+				f.DynOps != pl.DynOps || f.FusableOps != pl.FusableOps {
+				t.Errorf("preflight facts (%d/%d blocks, %d/%d ops) disagree with the plan (%d/%d, %d/%d)",
+					f.FusableBlocks, f.DynBlocks, f.FusableOps, f.DynOps,
+					pl.FusableBlocks, pl.DynBlocks, pl.FusableOps, pl.DynOps)
 			}
-			if sum.Fusion.DynOps < sum.Fusion.FusableOps {
-				t.Errorf("fusable ops %d exceed dynamic ops %d", sum.Fusion.FusableOps, sum.Fusion.DynOps)
+			if f.DynOps < f.FusableOps {
+				t.Errorf("fusable ops %d exceed dynamic ops %d", f.FusableOps, f.DynOps)
 			}
 		})
 	}

@@ -30,14 +30,11 @@ import (
 // action cache whenever a run-time static value becomes dynamic" (§6.3),
 // and the LiftLiveOnly option implements the liveness optimization that
 // elides write-throughs no dynamic reader can observe.
-func analyze(p *ir.Program, c *types.Checked, opt Options) error {
-	return analyzeFacts(p, c, opt, nil)
-}
-
-// analyzeFacts is analyze with optional evidence collection (facts may be
-// nil). When facts are requested, every lattice raise, first-cause edge,
-// and queue violation is recorded for the vet analyzers.
-func analyzeFacts(p *ir.Program, c *types.Checked, opt Options, facts *Facts) error {
+//
+// Evidence collection is optional (facts may be nil). When facts are
+// requested, every lattice raise, first-cause edge, and queue violation is
+// recorded for the vet analyzers.
+func analyze(p *ir.Program, c *types.Checked, opt Options, facts *Facts) error {
 	nv := p.NumVReg
 	ng := len(p.Globals)
 

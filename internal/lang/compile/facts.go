@@ -68,16 +68,10 @@ type Facts struct {
 // and facts are still returned fully analyzed so diagnostics can point at
 // every violating site, not just the first.
 func CompileWithFacts(c *types.Checked, opt Options) (*ir.Program, *Facts, error) {
-	lw := &lowerer{c: c, p: &ir.Program{}}
-	lw.declare()
-	if err := lw.lowerMain(); err != nil {
+	facts := &Facts{}
+	p, err := compile(c, opt, facts)
+	if p == nil {
 		return nil, nil, err
 	}
-	if !opt.NoOptimize {
-		optimize(lw.p)
-	}
-	facts := &Facts{}
-	err := analyzeFacts(lw.p, c, opt, facts)
-	lw.p.Replay, facts.Replay = buildReplayPlan(lw.p)
-	return lw.p, facts, err
+	return p, facts, err
 }

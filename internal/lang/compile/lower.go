@@ -39,8 +39,20 @@ type Options struct {
 	NoOptimize bool
 }
 
-// Compile lowers a checked program and runs BTA and action extraction.
+// Compile lowers a checked program and runs BTA, action extraction and
+// replay planning. It collects no analysis evidence and returns no
+// program on error.
 func Compile(c *types.Checked, opt Options) (*ir.Program, error) {
+	return compile(c, opt, nil)
+}
+
+// compile is the one pipeline behind Compile and CompileWithFacts: lower,
+// optimize, binding-time analysis, replay plan. facts, when non-nil,
+// receives the analysis evidence, and the program is then returned fully
+// analyzed and planned even on a binding-time error, so diagnostics can
+// point at every violating site. Without facts an error returns no
+// program.
+func compile(c *types.Checked, opt Options, facts *Facts) (*ir.Program, error) {
 	lw := &lowerer{c: c, p: &ir.Program{}}
 	lw.declare()
 	if err := lw.lowerMain(); err != nil {
@@ -49,11 +61,16 @@ func Compile(c *types.Checked, opt Options) (*ir.Program, error) {
 	if !opt.NoOptimize {
 		optimize(lw.p)
 	}
-	if err := analyze(lw.p, c, opt); err != nil {
+	err := analyze(lw.p, c, opt, facts)
+	if err != nil && facts == nil {
 		return nil, err
 	}
-	lw.p.Replay, _ = buildReplayPlan(lw.p)
-	return lw.p, nil
+	var ev *ReplayEvidence
+	lw.p.Replay, ev = buildReplayPlan(lw.p)
+	if facts != nil {
+		facts.Replay = ev
+	}
+	return lw.p, err
 }
 
 type loopCtx struct {

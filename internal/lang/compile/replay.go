@@ -18,9 +18,10 @@ import (
 //
 //   - the placeholder-layout verdict: whether every recorded placeholder
 //     sits in an operand field the replayer reads, in the recorder's
-//     append order, with the total matching NPh — the exact conditions
-//     rt's closure compiler checks per block, proven here once so the
-//     engine can trust the table instead of re-deriving it;
+//     append order, with the total matching NPh — the conditions rt's
+//     closure compiler needs to assign placeholder indices at build time,
+//     proven only here: the engine trusts the table and keeps no proof of
+//     its own;
 //
 //   - the maximal pure-flow run threading through the block: the static
 //     upper bound on the superinstruction a replay chain can form here,
@@ -91,10 +92,10 @@ type readSet struct {
 	args int // number of leading Args entries read (-1 = all)
 }
 
-// dynReads mirrors the replay interpreter's operand read order (and rt's
-// closure compiler's acceptance rules) exactly: for each op, the fields a
-// recorded placeholder may legally occupy. ok=false marks a structurally
-// malformed instruction.
+// dynReads mirrors the replay interpreter's operand read order (which rt's
+// closure compiler follows) exactly: for each op, the fields a recorded
+// placeholder may legally occupy. ok=false marks a structurally malformed
+// instruction.
 func dynReads(di *ir.DynInst) (rs readSet, ok bool) {
 	switch di.Op {
 	case ir.Mov, ir.Un, ir.Ext, ir.StoreG, ir.LoadA, ir.Fetch:

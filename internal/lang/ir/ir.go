@@ -200,8 +200,9 @@ type Program struct {
 	VRegNames map[int32]VRegName
 
 	// Replay is the proven fusion/replay plan (see replay.go), attached by
-	// the compiler after action extraction. Nil for hand-constructed IR;
-	// engines then fall back to their own per-block layout proof.
+	// the compiler after action extraction. It is the only layout proof:
+	// when it is nil (hand-constructed IR) or does not match Blocks, the
+	// engines replay every block interpreted.
 	Replay *ReplayPlan
 
 	// Stats from compilation, reported by the driver.

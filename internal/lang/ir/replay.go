@@ -2,13 +2,17 @@ package ir
 
 // This file defines the compile-time replay/fusion plan: the static table
 // the compiler proves once per program and the replay engine consults at
-// machine-build time instead of re-deriving per block. It is the static
-// counterpart of rt's superinstruction builder — see compile's replay
-// analysis for how the verdicts are computed.
+// machine-build time; the engine re-derives nothing per block. It is the
+// static counterpart of rt's superinstruction builder — see compile's
+// replay analysis for how the verdicts are computed.
 
-// Fuse limits shared by the static planner and the replay engines: a
-// superinstruction's node count is capped at MaxFuseLen, and runs shorter
-// than MinFuseLen are not worth fused dispatch.
+// Fuse limits shared by the static planner and both replay engines. A
+// superinstruction's node count is capped at MaxFuseLen: longer
+// straight-line chains split into consecutive runs, so a cycle in a
+// corrupted graph still advances the replay watchdog's count instead of
+// hanging the builder. Runs shorter than MinFuseLen are not fused: below
+// it the fused dispatch (version check, closure loop) costs more than the
+// interpreter iterations it replaces, so the nodes replay interpreted.
 const (
 	MaxFuseLen = 1024
 	MinFuseLen = 2
@@ -68,8 +72,9 @@ type BlockReplay struct {
 }
 
 // ReplayPlan is the whole-program fusion/replay table attached to a
-// compiled Program. Engines treat it as proven: a nil plan (hand-built IR,
-// older snapshots) falls back to the engine's own per-block proof.
+// compiled Program. Engines treat it as proven and keep no proof of their
+// own: a nil plan, or one whose Blocks do not match the program's, means
+// every block replays interpreted.
 type ReplayPlan struct {
 	Blocks []BlockReplay
 

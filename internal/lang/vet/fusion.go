@@ -209,8 +209,8 @@ func reportLayouts(p *Pass) {
 
 // reportCoverage emits the per-unit FV0702 verdicts: a warning when the
 // predicted fusion coverage falls below the threshold, and (in explain
-// mode) an info stating every unit's predicted coverage — the same
-// figure the engine's rt.fusion_predicted_* counters report at run time.
+// mode) an info stating every unit's predicted coverage — computed from
+// the same replay plan the engine compiles under.
 func reportCoverage(p *Pass) {
 	plan := p.IR.Replay
 	min := p.Opt.FusionCoverageMin

@@ -1,16 +1,19 @@
-// Package memocache holds the byte-accounting and clear-when-full policy
-// shared by the two specialized action caches (internal/arch/fastsim and
-// internal/rt). Keeping the policy in one place guarantees the engines
-// agree on when a capped cache clears and how fault invalidations interact
+// Package memocache is the specialized action cache core shared by the two
+// memoizing engines (internal/arch/fastsim and internal/rt): the entry and
+// cache types with their byte accounting and clear-when-full policy, the
+// detached warm cache with its stream framing, and the deterministic
+// self-check sampler. Keeping them in one place guarantees the engines
+// agree on when a capped cache clears, how fault invalidations interact
 // with the generation counter that in-flight replays use to detect
-// staleness.
+// staleness, and what a warm stream looks like. The engines keep only what
+// is theirs: node types, the per-node codec, replay, recovery and fault
+// injection.
 package memocache
 
-// Gauge tracks a cache's byte occupancy against an optional cap and
-// implements the paper's clear-when-full policy (§6.1: "fixing a maximum
-// cache size and clearing the cache when it fills"). Occupancy is checked
-// *after* charging an installed entry, so the cache clears on the put that
-// overflows it rather than one put later.
+// Gauge is a cache's byte occupancy against an optional cap, for the
+// paper's clear-when-full policy (§6.1: "fixing a maximum cache size and
+// clearing the cache when it fills"), and its monotonic totals. Cache
+// methods keep it current; engines read it.
 //
 // Gen is the staleness generation: a replay that cached a direct link to an
 // entry re-validates the link whenever Gen has moved. Both clears and fault
@@ -26,41 +29,11 @@ type Gauge struct {
 	Invalidations uint64 // entries discarded by fault recovery
 }
 
-// Charge adds n bytes to the occupancy and the monotonic total.
-func (g *Gauge) Charge(n uint64) {
-	g.Bytes += n
-	g.TotalBytes += n
-}
-
-// Over reports whether the occupancy exceeds the cap (if any). Callers
-// check it after charging a newly installed entry.
-func (g *Gauge) Over() bool {
-	return g.CapBytes > 0 && g.Bytes > g.CapBytes
-}
-
-// Cleared records a whole-cache clear: occupancy resets and the generation
-// moves so in-flight replays drop their cached links.
-func (g *Gauge) Cleared() {
-	g.Bytes = 0
-	g.Gen++
-	g.Clears++
-}
-
-// Refund removes n bytes from the occupancy (the monotonic total is
+// refund removes n bytes from the occupancy (the monotonic total is
 // unaffected). Clamped so stale refunds after a clear cannot underflow.
-func (g *Gauge) Refund(n uint64) {
+func (g *Gauge) refund(n uint64) {
 	if n > g.Bytes {
 		n = g.Bytes
 	}
 	g.Bytes -= n
-}
-
-// Invalidated records a single-entry fault invalidation: the dead entry's
-// bytes are refunded from the occupancy and the generation moves so cached
-// links to the entry are re-validated and miss. Callers pass 0 when the
-// entry was no longer charged (e.g. a clear already reset the gauge).
-func (g *Gauge) Invalidated(entryBytes uint64) {
-	g.Refund(entryBytes)
-	g.Gen++
-	g.Invalidations++
 }

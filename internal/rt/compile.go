@@ -23,9 +23,12 @@ import (
 //   - Results are bit-identical to the interpreted path: closures replicate
 //     execDyn's semantics exactly, and placeholder indices are assigned in
 //     the same order the recorder appended them (appendPh) and the
-//     interpreter consumes them (execDyn's read order). A block whose
-//     operand layout cannot be proven to match — a placeholder in a field
-//     the op never reads — is left uncompiled and replays interpreted.
+//     interpreter consumes them (execDyn's read order). That order is only
+//     sound when no placeholder sits in a field the op never reads; the
+//     compiler's replay plan (ir.ReplayPlan) proves this per block, and it
+//     is the only proof: the engine re-checks nothing but the placeholder
+//     count. A block the plan does not prove, and every block of a program
+//     without a matching plan, is left uncompiled and replays interpreted.
 //
 //   - All fault degradation survives fusion: a fused run or a vetted single
 //     node contains only nodes pre-validated exactly as the interpreter
@@ -36,10 +39,10 @@ import (
 //     happen at dynamic-result nodes, which are never inside a run.
 //
 //   - Fused state is derived, not memoized: it is never serialized
-//     (snapshot/warmio enumerate fields explicitly), is rebuilt lazily
-//     after warm-cache adoption, and is discarded when the owning entry's
-//     cver moves (fault injection, invalidation) so a mutated chain is
-//     always re-validated before its next replay.
+//     (the snapshot and warm codecs enumerate fields explicitly), is
+//     rebuilt lazily after warm-cache adoption, and is discarded when the
+//     owning entry's cver moves (fault injection, invalidation) so a
+//     mutated chain is always re-validated before its next replay.
 
 // dynFn executes one dynamic instruction with operand kinds resolved at
 // compile time; data is the node's recorded placeholder values.
@@ -48,21 +51,8 @@ type dynFn func(m *Machine, data []int64)
 // blockCode is the compiled form of one block's dynamic segment.
 type blockCode struct {
 	fns []dynFn
-	ok  bool // operand layout proven to match the recorder's placeholder order
+	ok  bool // the plan proved the block's layout and the segment compiled
 }
-
-// maxFuseLen bounds one superinstruction's node count. Longer straight-line
-// chains split into consecutive runs; a cycle in a corrupted graph therefore
-// still accumulates m.nodes toward the replay watchdog instead of hanging
-// the builder. Shared with the compiler's static replay planner, whose
-// MaxRun figures are capped at the same bound.
-const maxFuseLen = ir.MaxFuseLen
-
-// minFuseLen is the shortest run worth fusing: below it the fused dispatch
-// (version check, per-step closure loop) costs more than the interpreter
-// iterations it replaces, so the builder emits an empty run and the nodes
-// replay interpreted.
-const minFuseLen = ir.MinFuseLen
 
 // fusedRun is the derived compiled state of one head node. steps is a
 // superinstruction: a pre-validated straight-line run of DTNone nodes
@@ -84,72 +74,48 @@ type fusedStep struct {
 	data []int64
 }
 
-// compileProgram compiles dynamic segments into closure chains. With a
-// proven replay plan attached (p.Replay, computed by the compiler's static
-// fusion analysis), the builder trusts the static table: every block whose
-// layout the plan proves is compiled, whatever its class — with the
-// per-operand layout scans skipped, since the plan already proved every
-// placeholder sits in a read field — and layout-unprovable blocks are left
-// to the interpreter. Without a plan (hand-constructed IR, older
-// snapshots) every block runs the legacy per-block proof.
+// compileProgram compiles dynamic segments into closure chains. The
+// compiler's replay plan (p.Replay, from its static fusion analysis) is the
+// only layout proof: a block compiles when the plan matches the program and
+// proves the block's layout, whatever its replay class. A block the plan
+// cannot prove, and every block of a program with no matching plan
+// (hand-built IR), replays interpreted.
 func compileProgram(p *ir.Program) []blockCode {
 	code := make([]blockCode, len(p.Blocks))
-	if pl := p.Replay; pl != nil && len(pl.Blocks) == len(p.Blocks) {
-		for bi, blk := range p.Blocks {
-			if !blk.HasDyn {
-				// Empty ok chain so fused runs can span the block.
-				code[bi] = blockCode{ok: true}
-				continue
-			}
-			if !pl.Blocks[bi].LayoutOK {
-				continue // replays interpreted
-			}
-			code[bi] = compileBlock(blk, true)
-		}
+	pl := p.Replay
+	if pl == nil || len(pl.Blocks) != len(p.Blocks) {
 		return code
 	}
 	for bi, blk := range p.Blocks {
-		code[bi] = compileBlock(blk, false)
+		switch {
+		case !blk.HasDyn:
+			// Empty ok chain so fused runs can span the block.
+			code[bi] = blockCode{ok: true}
+		case pl.Blocks[bi].LayoutOK:
+			code[bi] = compileBlock(blk)
+		}
 	}
 	return code
 }
 
-// compileBlock compiles one block's dynamic segment. In trusted mode the
-// per-operand layout proof is skipped (the static plan proved it); the
-// final placeholder-count comparison stays as a cheap integer guard — if
-// it ever trips, the plan and the engine disagree and the block safely
-// falls back to interpreted replay.
-func compileBlock(blk *ir.Block, trusted bool) blockCode {
+// compileBlock compiles one block's dynamic segment. The final
+// placeholder-count comparison is a cheap integer guard: if it ever trips,
+// the plan and the engine disagree, and the block falls back to
+// interpreted replay instead of indexing past the recorded data.
+func compileBlock(blk *ir.Block) blockCode {
 	fns := make([]dynFn, 0, len(blk.Dyn))
 	ph := 0
 	for i := range blk.Dyn {
-		fn, ok := compileDyn(&blk.Dyn[i], &ph, trusted)
+		fn, ok := compileDyn(&blk.Dyn[i], &ph)
 		if !ok {
 			return blockCode{}
 		}
 		fns = append(fns, fn)
 	}
 	if ph != blk.NPh {
-		// The compile-time placeholder assignment disagrees with the
-		// recorder's count; replay this block interpreted.
 		return blockCode{}
 	}
 	return blockCode{fns: fns, ok: true}
-}
-
-// noPh reports that s is not a recorded placeholder. Operands the
-// interpreter never reads must not be placeholders, or the compile-time
-// index assignment would diverge from the recorded data layout.
-func noPh(s ir.Src) bool { return s.Kind != ir.SrcPh }
-
-func noPhArgs(args []ir.Src) bool {
-	for _, a := range args {
-		if a.Kind != ir.SrcPh {
-			continue
-		}
-		return false
-	}
-	return true
 }
 
 // reader builds a compile-time-resolved operand getter, assigning the next
@@ -171,17 +137,15 @@ func reader(s ir.Src, ph *int) func(*Machine, []int64) int64 {
 	return func(*Machine, []int64) int64 { return 0 }
 }
 
-// compileDyn compiles one dynamic instruction. It returns ok=false when the
-// instruction's placeholder layout cannot be matched to the interpreter's
-// read order (the block then replays interpreted). In trusted mode the
-// layout scans are skipped: the static replay plan already proved them.
-func compileDyn(di *ir.DynInst, ph *int, trusted bool) (dynFn, bool) {
+// compileDyn compiles one dynamic instruction, assigning placeholder
+// indices in the interpreter's read order; the replay plan has proved that
+// no operand the op never reads is a placeholder. It returns ok=false only
+// when the instruction is structurally malformed (the block then replays
+// interpreted).
+func compileDyn(di *ir.DynInst, ph *int) (dynFn, bool) {
 	d := di.D
 	switch di.Op {
 	case ir.Mov:
-		if !trusted && (!noPh(di.B) || !noPhArgs(di.Args)) {
-			return nil, false
-		}
 		// Flat fast paths for the three operand kinds.
 		switch di.A.Kind {
 		case ir.SrcVReg:
@@ -198,9 +162,6 @@ func compileDyn(di *ir.DynInst, ph *int, trusted bool) (dynFn, bool) {
 		return func(m *Machine, _ []int64) { m.vregs[d] = 0 }, true
 
 	case ir.Bin:
-		if !trusted && !noPhArgs(di.Args) {
-			return nil, false
-		}
 		op := token.Kind(di.Sub)
 		// Flat fast paths for the hottest operand-kind combinations; the
 		// composed form below covers the rest with one closure call per
@@ -238,17 +199,11 @@ func compileDyn(di *ir.DynInst, ph *int, trusted bool) (dynFn, bool) {
 		}, true
 
 	case ir.Un:
-		if !trusted && (!noPh(di.B) || !noPhArgs(di.Args)) {
-			return nil, false
-		}
 		sub := di.Sub
 		ra := reader(di.A, ph)
 		return func(m *Machine, data []int64) { m.vregs[d] = evalUn(sub, ra(m, data)) }, true
 
 	case ir.Ext:
-		if !trusted && (!noPh(di.B) || !noPhArgs(di.Args)) {
-			return nil, false
-		}
 		bits, signed := di.Imm, di.Sub == 1
 		ra := reader(di.A, ph)
 		return func(m *Machine, data []int64) {
@@ -256,24 +211,15 @@ func compileDyn(di *ir.DynInst, ph *int, trusted bool) (dynFn, bool) {
 		}, true
 
 	case ir.LoadG:
-		if !trusted && (!noPh(di.A) || !noPh(di.B) || !noPhArgs(di.Args)) {
-			return nil, false
-		}
 		g := di.Imm
 		return func(m *Machine, _ []int64) { m.vregs[d] = m.globals[g] }, true
 
 	case ir.StoreG:
-		if !trusted && (!noPh(di.B) || !noPhArgs(di.Args)) {
-			return nil, false
-		}
 		g := di.Imm
 		ra := reader(di.A, ph)
 		return func(m *Machine, data []int64) { m.globals[g] = ra(m, data) }, true
 
 	case ir.LoadA:
-		if !trusted && (!noPh(di.B) || !noPhArgs(di.Args)) {
-			return nil, false
-		}
 		ai := di.Imm
 		ra := reader(di.A, ph)
 		return func(m *Machine, data []int64) {
@@ -287,9 +233,6 @@ func compileDyn(di *ir.DynInst, ph *int, trusted bool) (dynFn, bool) {
 		}, true
 
 	case ir.StoreA:
-		if !trusted && !noPhArgs(di.Args) {
-			return nil, false
-		}
 		ai := di.Imm
 		ra := reader(di.A, ph)
 		rb := reader(di.B, ph)
@@ -303,21 +246,15 @@ func compileDyn(di *ir.DynInst, ph *int, trusted bool) (dynFn, bool) {
 		}, true
 
 	case ir.Fetch:
-		if !trusted && (!noPh(di.B) || !noPhArgs(di.Args)) {
-			return nil, false
-		}
 		ra := reader(di.A, ph)
 		return func(m *Machine, data []int64) {
 			m.vregs[d] = int64(m.text.FetchWord(uint64(ra(m, data))))
 		}, true
 
 	case ir.QOp:
-		return compileQOp(di, ph, trusted)
+		return compileQOp(di, ph)
 
 	case ir.CallExt:
-		if !trusted && (!noPh(di.A) || !noPh(di.B)) {
-			return nil, false
-		}
 		xi := di.Imm
 		rargs := make([]func(*Machine, []int64) int64, len(di.Args))
 		for i, a := range di.Args {
@@ -339,22 +276,15 @@ func compileDyn(di *ir.DynInst, ph *int, trusted bool) (dynFn, bool) {
 		}, true
 	}
 
-	// Unknown dynamic op: the interpreter ignores it; compile the same no-op
-	// as long as no placeholder would be silently skipped.
-	if trusted || (noPh(di.A) && noPh(di.B) && noPhArgs(di.Args)) {
-		return func(*Machine, []int64) {}, true
-	}
-	return nil, false
+	// Unknown dynamic op: the interpreter ignores it; compile the same no-op.
+	return func(*Machine, []int64) {}, true
 }
 
-func compileQOp(di *ir.DynInst, ph *int, trusted bool) (dynFn, bool) {
+func compileQOp(di *ir.DynInst, ph *int) (dynFn, bool) {
 	d := di.D
 	qid := di.QID
 	switch di.Sub {
 	case ir.QSize:
-		if !trusted && (!noPh(di.A) || !noPh(di.B) || !noPhArgs(di.Args)) {
-			return nil, false
-		}
 		return func(m *Machine, _ []int64) {
 			res := int64(m.queue(qid).Size())
 			if d >= 0 {
@@ -362,9 +292,6 @@ func compileQOp(di *ir.DynInst, ph *int, trusted bool) (dynFn, bool) {
 			}
 		}, true
 	case ir.QPush:
-		if !trusted && (!noPh(di.A) || !noPh(di.B)) {
-			return nil, false
-		}
 		rargs := make([]func(*Machine, []int64) int64, len(di.Args))
 		for i, a := range di.Args {
 			rargs[i] = reader(a, ph)
@@ -384,9 +311,6 @@ func compileQOp(di *ir.DynInst, ph *int, trusted bool) (dynFn, bool) {
 			}
 		}, true
 	case ir.QPop:
-		if !trusted && (!noPh(di.A) || !noPh(di.B) || !noPhArgs(di.Args)) {
-			return nil, false
-		}
 		return func(m *Machine, _ []int64) {
 			res := m.queue(qid).Pop()
 			if d >= 0 {
@@ -394,9 +318,6 @@ func compileQOp(di *ir.DynInst, ph *int, trusted bool) (dynFn, bool) {
 			}
 		}, true
 	case ir.QGet:
-		if !trusted && !noPhArgs(di.Args) {
-			return nil, false
-		}
 		ra := reader(di.A, ph)
 		rb := reader(di.B, ph)
 		return func(m *Machine, data []int64) {
@@ -406,8 +327,9 @@ func compileQOp(di *ir.DynInst, ph *int, trusted bool) (dynFn, bool) {
 			}
 		}, true
 	case ir.QSet:
-		// The structural arity guard stays even in trusted mode.
-		if len(di.Args) < 1 || (!trusted && !noPhArgs(di.Args[1:])) {
+		// Structural arity guard: a QSet without its value operand would
+		// panic below, so the block replays interpreted instead.
+		if len(di.Args) < 1 {
 			return nil, false
 		}
 		ra := reader(di.A, ph)
@@ -421,9 +343,6 @@ func compileQOp(di *ir.DynInst, ph *int, trusted bool) (dynFn, bool) {
 			}
 		}, true
 	case ir.QFront:
-		if !trusted && (!noPh(di.B) || !noPhArgs(di.Args)) {
-			return nil, false
-		}
 		ra := reader(di.A, ph)
 		return func(m *Machine, data []int64) {
 			res := m.queue(qid).Front(ra(m, data))
@@ -432,9 +351,6 @@ func compileQOp(di *ir.DynInst, ph *int, trusted bool) (dynFn, bool) {
 			}
 		}, true
 	case ir.QFull:
-		if !trusted && (!noPh(di.A) || !noPh(di.B) || !noPhArgs(di.Args)) {
-			return nil, false
-		}
 		return func(m *Machine, _ []int64) {
 			var res int64
 			if m.queue(qid).Full() {
@@ -445,9 +361,6 @@ func compileQOp(di *ir.DynInst, ph *int, trusted bool) (dynFn, bool) {
 			}
 		}, true
 	case ir.QClear:
-		if !trusted && (!noPh(di.A) || !noPh(di.B) || !noPhArgs(di.Args)) {
-			return nil, false
-		}
 		return func(m *Machine, _ []int64) {
 			m.queue(qid).Clear()
 			if d >= 0 {
@@ -456,9 +369,6 @@ func compileQOp(di *ir.DynInst, ph *int, trusted bool) (dynFn, bool) {
 		}, true
 	}
 	// Unknown queue sub-op: the interpreter computes res=0 and writes it.
-	if !trusted && (!noPh(di.A) || !noPh(di.B) || !noPhArgs(di.Args)) {
-		return nil, false
-	}
 	return func(m *Machine, _ []int64) {
 		if d >= 0 {
 			m.vregs[d] = 0
@@ -476,14 +386,14 @@ func compileQOp(di *ir.DynInst, ph *int, trusted bool) (dynFn, bool) {
 func (m *Machine) buildFused(n *node) *fusedRun {
 	bc := m.vetNode(n)
 	fr := &fusedRun{head: bc}
-	for bc != nil && len(fr.steps) < maxFuseLen && m.p.Blocks[n.blockID].DynTerm == ir.DTNone {
+	for bc != nil && len(fr.steps) < ir.MaxFuseLen && m.p.Blocks[n.blockID].DynTerm == ir.DTNone {
 		fr.steps = append(fr.steps, fusedStep{fns: bc.fns, data: n.data})
 		fr.ops += uint64(len(m.p.Blocks[n.blockID].Dyn))
 		n = n.next
 		bc = m.vetNode(n)
 	}
 	fr.end = n
-	if len(fr.steps) < minFuseLen {
+	if len(fr.steps) < ir.MinFuseLen {
 		// Too short to amortize a fused dispatch: the head replays alone.
 		return &fusedRun{head: fr.head}
 	}

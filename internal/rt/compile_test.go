@@ -25,12 +25,12 @@ func TestMissRecoverEmptyPathDegrades(t *testing.T) {
 	m := New(minProgram(), nil, Options{Memoize: true})
 	m.curKey = buildKey(m.argI, m.argQ)
 	m.started = true
-	e := &centry{key: m.curKey, first: &node{blockID: 0}}
-	m.ac.put(e)
-	m.stepKey = e.key
+	e := &centry{Key: m.curKey, First: &node{blockID: 0}}
+	m.ac.Put(e)
+	m.stepKey = e.Key
 	m.path = m.path[:0]
 	m.nodes = 0
-	if err := m.missRecover(e.first, e); err != nil {
+	if err := m.missRecover(e.First, e); err != nil {
 		t.Fatalf("missRecover: %v", err)
 	}
 	st := m.Stats()
@@ -50,18 +50,18 @@ func TestMissRecoverEmptyPathDegrades(t *testing.T) {
 // cver is unchanged, and both fault injection and invalidation move it.
 func TestFusedStateDiscardedOnCverBump(t *testing.T) {
 	m := New(minProgram(), nil, Options{Memoize: true})
-	e := &centry{key: "", first: &node{blockID: 0}}
-	m.ac.put(e)
-	n := e.first
+	e := &centry{Key: "", First: &node{blockID: 0}}
+	m.ac.Put(e)
+	n := e.First
 	n.fused = m.buildFused(n)
-	n.fusedVer = e.cver
-	m.ac.invalidate(e)
-	if n.fusedVer == e.cver {
+	n.fusedVer = e.CVer
+	m.ac.Invalidate(e)
+	if n.fusedVer == e.CVer {
 		t.Fatal("invalidate did not bump cver; stale fused state would survive")
 	}
-	n.fusedVer = e.cver
+	n.fusedVer = e.CVer
 	m.injectFault(e, faults.InjFlipFork)
-	if n.fusedVer == e.cver {
+	if n.fusedVer == e.CVer {
 		t.Fatal("injectFault did not bump cver; stale fused state would survive")
 	}
 }
@@ -91,10 +91,9 @@ func forkHeadProgram() *ir.Program {
 }
 
 // TestForkAtRunHeadSeversFusion drives buildFused over a fork-headed
-// chain: the run starting at the fork must stay empty, while the same
-// pure tail entered one node later fuses normally. Checked on both the
-// plan-less legacy path and with a static replay plan attached (where
-// the fork block is not even compiled).
+// chain with a static replay plan attached: the fork block is not even
+// compiled, the run starting at the fork stays empty, and the same pure
+// tail entered one node later fuses normally.
 func TestForkAtRunHeadSeversFusion(t *testing.T) {
 	plan := &ir.ReplayPlan{
 		Blocks: []ir.BlockReplay{
@@ -104,30 +103,21 @@ func TestForkAtRunHeadSeversFusion(t *testing.T) {
 		},
 		DynBlocks: 3, FusableBlocks: 2, DynOps: 3, FusableOps: 2,
 	}
-	for _, tc := range []struct {
-		name   string
-		plan   *ir.ReplayPlan
-		headOK bool // is the fork block compiled at all?
-	}{
-		{"legacy", nil, true},
-		{"planned", plan, false},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			p := forkHeadProgram()
-			p.Replay = tc.plan
-			m := New(p, nil, Options{Memoize: true})
-			if got := m.code[0].ok; got != tc.headOK {
-				t.Errorf("fork block compiled = %v, want %v", got, tc.headOK)
-			}
-			n2 := &node{blockID: 2}
-			n1 := &node{blockID: 1, next: n2}
-			n0 := &node{blockID: 0, next: n1}
-			if fr := m.buildFused(n0); len(fr.steps) != 0 {
-				t.Errorf("fork-headed run fused %d steps, want 0", len(fr.steps))
-			}
-			if fr := m.buildFused(n1); len(fr.steps) != 2 || fr.ops != 2 {
-				t.Errorf("pure tail fused %d steps / %d ops, want 2 / 2", len(fr.steps), fr.ops)
-			}
-		})
-	}
+	t.Run("planned", func(t *testing.T) {
+		p := forkHeadProgram()
+		p.Replay = plan
+		m := New(p, nil, Options{Memoize: true})
+		if m.code[0].ok {
+			t.Error("fork block compiled, want it left to the interpreter")
+		}
+		n2 := &node{blockID: 2}
+		n1 := &node{blockID: 1, next: n2}
+		n0 := &node{blockID: 0, next: n1}
+		if fr := m.buildFused(n0); len(fr.steps) != 0 {
+			t.Errorf("fork-headed run fused %d steps, want 0", len(fr.steps))
+		}
+		if fr := m.buildFused(n1); len(fr.steps) != 2 || fr.ops != 2 {
+			t.Errorf("pure tail fused %d steps / %d ops, want 2 / 2", len(fr.steps), fr.ops)
+		}
+	})
 }

@@ -24,20 +24,20 @@ func (m *Machine) injectFault(e *centry, inj faults.Injection) {
 	// Any mutation of the recorded chain invalidates the derived compiled
 	// state: bump the entry's version so stale superinstructions are
 	// discarded and the corruption is re-validated on the next replay.
-	e.cver++
+	e.CVer++
 	ij := m.opt.Inject
 	switch inj {
 	case faults.InjBreakChain:
 		// Sever a sequential link mid-chain (BrokenChain on replay).
 		var cands []*node
-		for n, hops := e.first, 0; n != nil && hops < 64; hops++ {
+		for n, hops := e.First, 0; n != nil && hops < 64; hops++ {
 			if n.next != nil {
 				cands = append(cands, n)
 			}
 			n = spineNext(n)
 		}
 		if len(cands) == 0 {
-			e.first = nil
+			e.First = nil
 			return
 		}
 		cands[int(ij.Rand()%uint64(len(cands)))].next = nil
@@ -45,7 +45,7 @@ func (m *Machine) injectFault(e *centry, inj faults.Injection) {
 	case faults.InjFlipFork:
 		// Corrupt a recorded dynamic-result value so the live value misses
 		// its fork: recovery treats it as a benign first-time result.
-		for n, hops := e.first, 0; n != nil && hops < 64; hops++ {
+		for n, hops := e.First, 0; n != nil && hops < 64; hops++ {
 			if len(n.forks) > 0 {
 				f := int(ij.Rand() % uint64(len(n.forks)))
 				n.forks[f].val ^= 1 << 62
@@ -53,7 +53,7 @@ func (m *Machine) injectFault(e *centry, inj faults.Injection) {
 			}
 			n = spineNext(n)
 		}
-		e.first = nil
+		e.First = nil
 
 	case faults.InjTruncate:
 		// Truncate recorded state: either a node's placeholder data (caught
@@ -62,7 +62,7 @@ func (m *Machine) injectFault(e *centry, inj faults.Injection) {
 		// continuation bit set so the truncation can never still parse.
 		wantKey := ij.Rand()&1 == 0
 		var ret *node
-		for n, hops := e.first, 0; n != nil && hops < 256; hops++ {
+		for n, hops := e.First, 0; n != nil && hops < 256; hops++ {
 			if !wantKey && len(n.data) > 0 {
 				n.data = n.data[:len(n.data)/2]
 				return
@@ -79,10 +79,10 @@ func (m *Machine) injectFault(e *centry, inj faults.Injection) {
 			ret.link = nil // a cached link must not bypass the corrupt key
 			return
 		}
-		e.first = nil
+		e.First = nil
 
 	case faults.InjGenBump:
 		// Force a mid-replay generation bump, as clear-when-full would.
-		m.ac.clearNow()
+		m.ac.Clear()
 	}
 }

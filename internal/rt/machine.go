@@ -7,6 +7,7 @@ import (
 	"facile/internal/lang/ir"
 	"facile/internal/lang/token"
 	"facile/internal/lang/types"
+	"facile/internal/memocache"
 	"facile/internal/obs"
 )
 
@@ -115,8 +116,8 @@ type Machine struct {
 	stop    func(*Machine) bool
 	done    bool
 
-	blkExt    [][]int32 // extern indices each block's dynamic segment calls
-	scState   uint64    // self-check sampling PRNG state
+	blkExt    [][]int32         // extern indices each block's dynamic segment calls
+	sc        memocache.Sampler // self-check step sampling
 	lastFault *faults.Fault
 
 	// Compiled replay substrate (see compile.go). compiled mirrors
@@ -160,7 +161,7 @@ func New(p *ir.Program, text TextSource, opt Options) *Machine {
 		queuesG: make([]*Queue, len(p.QueuesG)),
 		vregs:   make([]int64, p.NumVReg),
 		externs: make([]Extern, len(p.Externs)),
-		ac:      newACache(opt.CacheCapBytes, opt.Obs),
+		ac:      memocache.NewCache[node](opt.CacheCapBytes, opt.Obs),
 		obs:     opt.Obs,
 	}
 	m.compiled = !opt.ReplayInterp
@@ -169,28 +170,13 @@ func New(p *ir.Program, text TextSource, opt Options) *Machine {
 	// rt.compiled_blocks counts every block with a compiled dynamic
 	// segment, whatever its replay class: pure-flow blocks, and the fork-
 	// and ret-terminated blocks that replay alone through their closures.
-	// The rt.fusion_* pairs count pure-flow blocks only — what the static
-	// plan proved fusable against what the closure builder compiled of
-	// them. They agree unless the trusted compile's placeholder-count
-	// guard tripped (a plan/engine disagreement).
-	var nCompiled, fusedBlocks, fusedOps uint64
+	var nCompiled uint64
 	for bi, blk := range p.Blocks {
-		if !blk.HasDyn || !m.code[bi].ok || len(blk.Dyn) == 0 {
-			continue
-		}
-		nCompiled++
-		if p.Replay.Fusable(bi) {
-			fusedBlocks++
-			fusedOps += uint64(len(blk.Dyn))
+		if blk.HasDyn && m.code[bi].ok && len(blk.Dyn) > 0 {
+			nCompiled++
 		}
 	}
 	reg.Counter("rt.compiled_blocks").Add(nCompiled)
-	if pl := p.Replay; pl != nil {
-		reg.Counter("rt.fusion_predicted_blocks").Add(uint64(pl.FusableBlocks))
-		reg.Counter("rt.fusion_compiled_blocks").Add(fusedBlocks)
-		reg.Counter("rt.fusion_predicted_ops").Add(uint64(pl.FusableOps))
-		reg.Counter("rt.fusion_compiled_ops").Add(fusedOps)
-	}
 	m.hStepNodes = reg.Histogram("rt.replay_nodes_per_step")
 	m.cFusedRuns = reg.Counter("rt.fused_runs")
 	m.cFusedDisp = reg.Counter("rt.fused_dispatches")
@@ -200,8 +186,8 @@ func New(p *ir.Program, text TextSource, opt Options) *Machine {
 			Insts:        m.stats.SlowInsts + m.stats.FastOps,
 			SlowInsts:    m.stats.SlowInsts,
 			FastInsts:    m.stats.FastOps,
-			CacheBytes:   m.ac.g.Bytes,
-			CacheEntries: uint64(len(m.ac.m)),
+			CacheBytes:   m.ac.G.Bytes,
+			CacheEntries: uint64(len(m.ac.M)),
 		}
 	})
 	for i, g := range p.Globals {
@@ -236,10 +222,7 @@ func New(p *ir.Program, text TextSource, opt Options) *Machine {
 			}
 		}
 	}
-	m.scState = opt.SelfCheckSeed
-	if m.scState == 0 {
-		m.scState = 0xD1B54A32D192ED03
-	}
+	m.sc = memocache.NewSampler(opt.SelfCheckSeed)
 	return m
 }
 
@@ -305,11 +288,11 @@ func (m *Machine) Array(name string) ([]int64, bool) {
 // Stats returns run statistics.
 func (m *Machine) Stats() Stats {
 	st := m.stats
-	st.CacheBytes = m.ac.g.Bytes
-	st.CacheEntries = uint64(len(m.ac.m))
-	st.TotalMemoBytes = m.ac.g.TotalBytes
-	st.CacheClears = m.ac.g.Clears
-	st.Invalidations = m.ac.g.Invalidations
+	st.CacheBytes = m.ac.G.Bytes
+	st.CacheEntries = uint64(len(m.ac.M))
+	st.TotalMemoBytes = m.ac.G.TotalBytes
+	st.CacheClears = m.ac.G.Clears
+	st.Invalidations = m.ac.G.Invalidations
 	return st
 }
 
@@ -328,23 +311,6 @@ func (m *Machine) fault(k faults.Kind, detail string) {
 // back to Run instead of following cache links internally.
 func (m *Machine) stepHook() bool {
 	return m.opt.Inject != nil || m.opt.SelfCheck > 0
-}
-
-// selfCheckDue samples the self-check rate deterministically.
-func (m *Machine) selfCheckDue() bool {
-	f := m.opt.SelfCheck
-	if f <= 0 {
-		return false
-	}
-	if f >= 1 {
-		return true
-	}
-	x := m.scState
-	x ^= x << 13
-	x ^= x >> 7
-	x ^= x << 17
-	m.scState = x
-	return float64(x>>11)/(1<<53) < f
 }
 
 // Done reports whether the stop predicate has fired.
@@ -367,15 +333,15 @@ func (m *Machine) Run(maxSteps uint64) error {
 			return nil
 		}
 		if m.opt.Memoize {
-			e := m.ac.get(m.curKey)
+			e := m.ac.Get(m.curKey)
 			if e != nil {
 				if inj := m.opt.Inject.Arm(); inj != faults.InjNone {
 					m.injectFault(e, inj)
-					e = m.ac.get(m.curKey)
+					e = m.ac.Get(m.curKey)
 				}
 			}
 			if e != nil {
-				if m.selfCheckDue() {
+				if m.sc.Due(m.opt.SelfCheck) {
 					if err := m.selfCheckStep(e); err != nil {
 						return err
 					}
@@ -397,15 +363,15 @@ func (m *Machine) Run(maxSteps uint64) error {
 		var sink stepSink
 		var ent *centry
 		if m.opt.Memoize {
-			ent = &centry{key: m.curKey}
-			sink = &recorder{m: m, ent: ent, tail: &ent.first}
+			ent = &centry{Key: m.curKey}
+			sink = &recorder{m: m, ent: ent, tail: &ent.First}
 		}
 		if err := m.runStepSlow(sink, nil); err != nil {
 			return err
 		}
 		if ent != nil {
-			m.ac.put(ent)
-			m.obs.Event(obs.EvStepRecorded, ent.bytes)
+			m.ac.Put(ent)
+			m.obs.Event(obs.EvStepRecorded, ent.Bytes)
 		}
 	}
 	return nil
@@ -439,7 +405,7 @@ func (r *recorder) enterBlock(bi int, blk *ir.Block) {
 	}
 	*r.tail = n
 	r.tail = &n.next
-	r.m.ac.charge(r.ent, nodeBytes+uint64(cap(n.data))*valBytes)
+	r.m.ac.Charge(r.ent, nodeBytes+uint64(cap(n.data))*valBytes)
 	r.n = n
 }
 
@@ -453,13 +419,13 @@ func (r *recorder) fork(v int64) {
 	n := r.n
 	n.forks = append(n.forks, nfork{val: v})
 	r.tail = &n.forks[len(n.forks)-1].next
-	r.m.ac.charge(r.ent, forkBytes)
+	r.m.ac.Charge(r.ent, forkBytes)
 }
 
 func (r *recorder) ret(key string) {
 	if r.n != nil {
 		r.n.nextKey = key
-		r.m.ac.charge(r.ent, uint64(len(key)))
+		r.m.ac.Charge(r.ent, uint64(len(key)))
 	}
 }
 

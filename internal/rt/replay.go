@@ -25,10 +25,10 @@ import (
 // replay completed this step, so the degraded re-run knows exactly where to
 // switch from skipping already-applied dynamic work to running live.
 func (m *Machine) replayFrom(e *centry, maxSteps uint64) error {
-	m.stepKey = e.key
+	m.stepKey = e.Key
 	m.path = m.path[:0]
 	m.nodes = 0
-	n := e.first
+	n := e.First
 	for {
 		if n == nil {
 			// Recording always seals a step with a DTRet node; a nil link
@@ -43,10 +43,10 @@ func (m *Machine) replayFrom(e *centry, maxSteps uint64) error {
 			// fused call sequence. Built lazily per head node and discarded
 			// whenever the entry's cver moves (injection, invalidation).
 			fr := n.fused
-			if fr == nil || n.fusedVer != e.cver {
+			if fr == nil || n.fusedVer != e.CVer {
 				fr = m.buildFused(n)
 				n.fused = fr
-				n.fusedVer = e.cver
+				n.fusedVer = e.CVer
 				if len(fr.steps) > 0 {
 					m.cFusedRuns.Inc()
 				}
@@ -131,7 +131,7 @@ func (m *Machine) replayFrom(e *centry, maxSteps uint64) error {
 			// link proves the key was vetted on the visit that set it: every
 			// mutation of nextKey nils the link, and clears and
 			// invalidations move the generation.
-			linked := n.link != nil && n.linkGen == m.ac.g.Gen
+			linked := n.link != nil && n.linkGen == m.ac.G.Gen
 			if !linked && !validKey(n.nextKey, len(m.argI), m.argQ) {
 				m.fault(faults.CorruptKey, "recorded successor key does not parse")
 				return m.rekeyStep(e)
@@ -155,19 +155,19 @@ func (m *Machine) replayFrom(e *centry, maxSteps uint64) error {
 				// back instead of following the link directly.
 				return nil
 			}
-			if n.link == nil || n.linkGen != m.ac.g.Gen {
-				le := m.ac.get(n.nextKey)
+			if n.link == nil || n.linkGen != m.ac.G.Gen {
+				le := m.ac.Get(n.nextKey)
 				if le == nil {
 					// step-boundary miss: Run's loop restores the slow
 					// simulator from curKey
 					return nil
 				}
 				n.link = le
-				n.linkGen = m.ac.g.Gen
+				n.linkGen = m.ac.G.Gen
 			}
 			e = n.link
-			m.stepKey = e.key
-			n = e.first
+			m.stepKey = e.Key
+			n = e.First
 		default:
 			m.fault(faults.BadAction,
 				fmt.Sprintf("unknown dynamic terminal %d", blk.DynTerm))
@@ -223,7 +223,7 @@ func (m *Machine) missRecover(n *node, e *centry) error {
 	}
 	v := m.path[len(m.path)-1]
 	n.forks = append(n.forks, nfork{val: v})
-	m.ac.charge(e, forkBytes)
+	m.ac.Charge(e, forkBytes)
 	rec := &recorder{m: m, ent: e, tail: &n.forks[len(n.forks)-1].next}
 	cur := &rcursor{path: m.path}
 	if err := m.runStepSlow(rec, cur); err != nil {
@@ -237,7 +237,7 @@ func (m *Machine) missRecover(n *node, e *centry) error {
 			detail = "recovery cursor overran the replayed path"
 		}
 		m.fault(kind, detail)
-		m.ac.invalidate(e)
+		m.ac.Invalidate(e)
 		m.stats.DegradedSteps++
 		// Drop the half-recorded fork so the dead entry can't replay it.
 		n.forks = n.forks[:len(n.forks)-1]
@@ -253,7 +253,7 @@ func (m *Machine) missRecover(n *node, e *centry) error {
 // finishes on the always-correct slow path, unrecorded.
 func (m *Machine) degradeStep(e *centry) error {
 	m.stats.DegradedSteps++
-	m.ac.invalidate(e)
+	m.ac.Invalidate(e)
 	if !parseKey(m.stepKey, m.argI, m.argQ) {
 		m.fault(faults.CorruptKey, "unparseable entry key during degradation")
 		return m.runStepSlow(nil, nil)
@@ -281,7 +281,7 @@ func (m *Machine) degradeStep(e *centry) error {
 // lost.
 func (m *Machine) rekeyStep(e *centry) error {
 	m.stats.DegradedSteps++
-	m.ac.invalidate(e)
+	m.ac.Invalidate(e)
 	if !parseKey(m.stepKey, m.argI, m.argQ) {
 		m.fault(faults.CorruptKey, "unparseable entry key during rekey")
 		return m.runStepSlow(nil, nil)
@@ -303,7 +303,7 @@ func (m *Machine) rekeyStep(e *centry) error {
 // validation and use.
 func (m *Machine) degradeLost(e *centry, detail string) error {
 	m.fault(faults.CorruptKey, detail)
-	m.ac.invalidate(e)
+	m.ac.Invalidate(e)
 	m.stats.DegradedSteps++
 	return m.runStepSlow(nil, nil)
 }

@@ -45,7 +45,7 @@ func (c *rchecker) diverge(detail string) {
 	m.fault(faults.SelfCheckDivergence, detail)
 	m.stats.SelfCheckDivergences++
 	m.stats.DegradedSteps++
-	m.ac.invalidate(c.ent)
+	m.ac.Invalidate(c.ent)
 	c.mode = scLive
 }
 
@@ -132,7 +132,7 @@ func (c *rchecker) fork(v int64) {
 	c.m.stats.Misses++
 	c.m.obs.Event(obs.EvMidStepMiss, 0)
 	n.forks = append(n.forks, nfork{val: v})
-	c.m.ac.charge(c.ent, forkBytes)
+	c.m.ac.Charge(c.ent, forkBytes)
 	c.rec = &recorder{m: c.m, ent: c.ent, tail: &n.forks[len(n.forks)-1].next}
 	c.mode = scRecord
 }
@@ -162,6 +162,6 @@ func (m *Machine) selfCheckStep(e *centry) error {
 	if !parseKey(m.curKey, m.argI, m.argQ) {
 		return m.degradeLost(e, "unparseable step key at self-check")
 	}
-	ck := &rchecker{m: m, ent: e, cur: e.first}
+	ck := &rchecker{m: m, ent: e, cur: e.First}
 	return m.runStepSlow(ck, nil)
 }

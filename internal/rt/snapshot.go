@@ -3,6 +3,7 @@ package rt
 import (
 	"fmt"
 
+	"facile/internal/memocache"
 	"facile/internal/snapshot"
 )
 
@@ -53,7 +54,7 @@ func (m *Machine) SaveState(w *snapshot.Writer) {
 	w.String(m.curKey)
 	w.Bool(m.started)
 	w.Bool(m.done)
-	w.U64(m.scState)
+	w.U64(uint64(m.sc))
 
 	w.BeginAux()
 	w.U64(m.stats.SlowSteps)
@@ -67,9 +68,9 @@ func (m *Machine) SaveState(w *snapshot.Writer) {
 	w.U64(m.stats.WatchdogTrips)
 	w.U64(m.stats.SelfChecks)
 	w.U64(m.stats.SelfCheckDivergences)
-	w.U64(m.ac.g.TotalBytes)
-	w.U64(m.ac.g.Clears)
-	w.U64(m.ac.g.Invalidations)
+	w.U64(m.ac.G.TotalBytes)
+	w.U64(m.ac.G.Clears)
+	w.U64(m.ac.G.Invalidations)
 }
 
 // LoadState restores a machine built from the same compiled program. The
@@ -122,7 +123,7 @@ func (m *Machine) LoadState(r *snapshot.Reader) error {
 	m.curKey = r.String()
 	m.started = r.Bool()
 	m.done = r.Bool()
-	m.scState = r.U64()
+	m.sc = memocache.Sampler(r.U64())
 	if m.started && m.curKey != "" && !validKey(m.curKey, len(m.argI), m.argQ) {
 		return fmt.Errorf("rt: snapshot step key does not parse against this program")
 	}
@@ -138,9 +139,9 @@ func (m *Machine) LoadState(r *snapshot.Reader) error {
 	m.stats.WatchdogTrips = r.U64()
 	m.stats.SelfChecks = r.U64()
 	m.stats.SelfCheckDivergences = r.U64()
-	m.ac.g.TotalBytes = r.U64()
-	m.ac.g.Clears = r.U64()
-	m.ac.g.Invalidations = r.U64()
+	m.ac.G.TotalBytes = r.U64()
+	m.ac.G.Clears = r.U64()
+	m.ac.G.Invalidations = r.U64()
 	if err := r.Err(); err != nil {
 		return err
 	}

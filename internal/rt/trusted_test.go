@@ -8,6 +8,7 @@ import (
 	"facile/internal/facsim"
 	"facile/internal/faults"
 	"facile/internal/isa/asm"
+	"facile/internal/isa/loader"
 	"facile/internal/obs"
 	"facile/internal/rt"
 )
@@ -218,21 +219,63 @@ func TestWarmCompiledReplayAllocatesNothing(t *testing.T) {
 
 // TestForkAndRetBlocksCompile checks that compiled replay covers more than
 // the pure-flow blocks: on the fac-ooo description, rt.compiled_blocks
-// (every layout-proven block) exceeds rt.fusion_compiled_blocks (the
-// pure-flow ones the fusion counters are kept to).
+// equals every dynamic block the replay plan proves, which exceeds the
+// plan's fusable (pure-flow) blocks.
 func TestForkAndRetBlocksCompile(t *testing.T) {
 	prog, err := asm.Assemble("compile", fuzzProgSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rec := obs.NewRecorder(obs.Config{})
-	if _, err := facsim.NewOOO(prog, facsim.Options{Memoize: true, Obs: rec}); err != nil {
+	in, err := facsim.NewOOO(prog, facsim.Options{Memoize: true, Obs: rec})
+	if err != nil {
 		t.Fatal(err)
 	}
-	reg := rec.Registry()
-	all := reg.Counter("rt.compiled_blocks").Load()
-	pure := reg.Counter("rt.fusion_compiled_blocks").Load()
+	p := in.M.Program()
+	var proven uint64
+	for bi, blk := range p.Blocks {
+		if blk.HasDyn && len(blk.Dyn) > 0 && p.Replay.Blocks[bi].LayoutOK {
+			proven++
+		}
+	}
+	all := rec.Registry().Counter("rt.compiled_blocks").Load()
+	pure := uint64(p.Replay.FusableBlocks)
+	if all != proven {
+		t.Errorf("rt.compiled_blocks = %d, the plan proves %d dynamic blocks", all, proven)
+	}
 	if pure == 0 || all <= pure {
-		t.Errorf("rt.compiled_blocks = %d, rt.fusion_compiled_blocks = %d: fork and ret blocks are not compiled", all, pure)
+		t.Errorf("rt.compiled_blocks = %d, plan fusable blocks = %d: fork and ret blocks are not compiled", all, pure)
+	}
+}
+
+// TestPlanIsTheOnlyLayoutProof checks, for every block of the three
+// shipped descriptions, that the engine compiles a block's dynamic segment
+// exactly when the compiler's replay plan proves its layout: the plan is
+// the only proof, and the engine's placeholder-count guard never trips on
+// a planned block.
+func TestPlanIsTheOnlyLayoutProof(t *testing.T) {
+	prog, err := asm.Assemble("plan", fuzzProgSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for kind, mk := range map[string]func(*loader.Program, facsim.Options) (*facsim.Instance, error){
+		facsim.KindFunctional: facsim.NewFunctional,
+		facsim.KindInOrder:    facsim.NewInOrder,
+		facsim.KindOOO:        facsim.NewOOO,
+	} {
+		in, err := mk(prog, facsim.Options{Memoize: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := in.M.Program()
+		if p.Replay == nil || len(p.Replay.Blocks) != len(p.Blocks) {
+			t.Fatalf("%s: description carries no matching replay plan", kind)
+		}
+		for bi, blk := range p.Blocks {
+			want := blk.HasDyn && p.Replay.Blocks[bi].LayoutOK
+			if got := in.M.DynCompiled(bi); got != want {
+				t.Errorf("%s block %d: compiled = %v, plan says HasDyn && LayoutOK = %v", kind, bi, got, want)
+			}
+		}
 	}
 }
